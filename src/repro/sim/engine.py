@@ -26,6 +26,7 @@ buffered: a message may arrive before its receive is posted.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import math
@@ -313,10 +314,26 @@ class Engine:
     # ------------------------------------------------------------------
 
     def run(self, program: ProgramFactory) -> RunResult:
-        """Execute ``program`` on every rank and return the result."""
+        """Execute ``program`` on every rank and return the result.
+
+        Automatic cyclic garbage collection is paused for the call and
+        restored to its entry state on exit, also when the run raises.
+        The run's objects stay reachable until it ends, so collector
+        passes during it only walk live objects; a finished run holds no
+        reference cycles, so reference counting frees it.
+        """
         if self._ran:
             raise SimulationError("an Engine can only run once; build a new one")
         self._ran = True
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run(program)
+        finally:
+            if gc_enabled:
+                gc.enable()
+
+    def _run(self, program: ProgramFactory) -> RunResult:
         # Fail-stop events go on the heap first so a failure at time t wins
         # the tie against any same-time resume of that rank.
         if self.faults is not None:

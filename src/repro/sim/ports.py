@@ -10,9 +10,10 @@ time, and every resource is then held until ``start + duration``.
 Because the engine processes events in non-decreasing time order with a
 deterministic tie-break, reservations are FIFO and runs are reproducible.
 
-State is stored struct-of-arrays: the tracker owns preallocated NumPy
-columns (next-free time, cumulative busy time, reservation count) indexed
-by a dense resource id, and :class:`Resource` is a thin view over one slot.
+State is stored struct-of-arrays: the tracker owns one store of
+preallocated NumPy columns (next-free time, cumulative busy time,
+reservation count) indexed by a dense resource id, and :class:`Resource`
+is a thin view over one slot of that store.
 The hot path (:meth:`ContentionTracker.reserve_hop`) works directly on the
 columns through a per-hop id cache; the closed-form superstep planners
 read and write whole phases of channel state through the same columns.
@@ -29,14 +30,28 @@ __all__ = ["Resource", "ResourceSet", "ContentionTracker"]
 
 
 class _Cells:
-    """One-slot backing store for a standalone :class:`Resource`."""
+    """Struct-of-arrays column store: next-free time, busy time, count.
+
+    A standalone :class:`Resource` owns a one-slot store; a
+    :class:`ContentionTracker` and every view it hands out share one
+    growable store.  Views point at the store, never at the tracker, so a
+    finished run's tracker is freed by reference counting alone.
+    """
 
     __slots__ = ("_free", "_busy", "_nres")
 
-    def __init__(self) -> None:
-        self._free = np.zeros(1)
-        self._busy = np.zeros(1)
-        self._nres = np.zeros(1, dtype=np.int64)
+    def __init__(self, cap: int = 1) -> None:
+        self._free = np.zeros(cap)
+        self._busy = np.zeros(cap)
+        self._nres = np.zeros(cap, dtype=np.int64)
+
+    def _grow(self) -> None:
+        """Double the capacity; slot ids are unchanged."""
+        for attr in self.__slots__:
+            old = getattr(self, attr)
+            new = np.zeros(2 * len(old), dtype=old.dtype)
+            new[: len(old)] = old
+            setattr(self, attr, new)
 
 
 class Resource:
@@ -131,10 +146,11 @@ class _ChannelViews:
     cached so repeated lookups return the same view.
     """
 
-    __slots__ = ("_t", "_views")
+    __slots__ = ("_ids", "_cells", "_views")
 
-    def __init__(self, tracker: "ContentionTracker"):
-        self._t = tracker
+    def __init__(self, ids: dict[tuple[int, int], int], cells: _Cells):
+        self._ids = ids
+        self._cells = cells
         self._views: dict[tuple[int, int], Resource] = {}
 
     def _view(self, key: tuple[int, int], index: int) -> Resource:
@@ -142,37 +158,37 @@ class _ChannelViews:
         if res is None:
             u, v = key
             res = Resource(
-                f"channel[{u}->{v}]", _store=self._t, _index=index
+                f"channel[{u}->{v}]", _store=self._cells, _index=index
             )
             self._views[key] = res
         return res
 
     def get(self, key, default=None):
-        index = self._t._channel_ids.get(key)
+        index = self._ids.get(key)
         if index is None:
             return default
         return self._view(key, index)
 
     def __getitem__(self, key):
-        return self._view(key, self._t._channel_ids[key])
+        return self._view(key, self._ids[key])
 
     def __contains__(self, key):
-        return key in self._t._channel_ids
+        return key in self._ids
 
     def __iter__(self):
-        return iter(self._t._channel_ids)
+        return iter(self._ids)
 
     def __len__(self):
-        return len(self._t._channel_ids)
+        return len(self._ids)
 
     def keys(self):
-        return self._t._channel_ids.keys()
+        return self._ids.keys()
 
     def values(self):
-        return (self[k] for k in self._t._channel_ids)
+        return (self[k] for k in self._ids)
 
     def items(self):
-        return ((k, self[k]) for k in self._t._channel_ids)
+        return ((k, self[k]) for k in self._ids)
 
 
 class ResourceSet:
@@ -208,10 +224,12 @@ class ContentionTracker:
     utilization statistics are always available.
 
     All resource state lives in three preallocated columns (``_free``,
-    ``_busy``, ``_nres``) indexed by a dense id; capacity doubles on demand
-    up to the machine's ``p·(d + 1)`` resource ceiling.  Slots never move,
-    so ids cached in :class:`Resource` views and the per-hop id cache stay
-    valid across growth.
+    ``_busy``, ``_nres``) of one :class:`_Cells` store, indexed by a dense
+    id; capacity doubles on demand up to the machine's ``p·(d + 1)``
+    resource ceiling.  Slots never move, so ids cached in
+    :class:`Resource` views and the per-hop id cache stay valid across
+    growth.  The views share the store rather than the tracker, which
+    keeps the tracker out of reference cycles.
     """
 
     def __init__(self, config: MachineConfig):
@@ -219,16 +237,14 @@ class ContentionTracker:
         one_port = config.port_model is PortModel.ONE_PORT
         p = config.num_nodes
         cap = max(1, (p if one_port else 0) + min(p * config.dimension, 4096))
-        self._free = np.zeros(cap)
-        self._busy = np.zeros(cap)
-        self._nres = np.zeros(cap, dtype=np.int64)
+        self._cells = _Cells(cap)
         self._n = 0
         self._send_port: dict[int, Resource] = {}
         # id-first channel bookkeeping: the dict maps a directional link to
         # its column slot; Resource views are materialized lazily through
         # the _channel facade (stats, superstep seeding by object).
         self._channel_ids: dict[tuple[int, int], int] = {}
-        self._channel = _ChannelViews(self)
+        self._channel = _ChannelViews(self._channel_ids, self._cells)
         # hop -> resource-view list, validated once then reused for every
         # message crossing the same directional link; _hop_ids carries the
         # same hops as raw column ids for the reserve_hop fast path.
@@ -237,23 +253,31 @@ class ContentionTracker:
         if one_port:
             for node in config.cube.nodes():
                 self._send_port[node] = Resource(
-                    f"send_port[{node}]", _store=self, _index=self._alloc()
+                    f"send_port[{node}]", _store=self._cells,
+                    _index=self._alloc(),
                 )
+
+    # Column accessors for the superstep planners' vectorized reads and
+    # writes; re-read after any allocation, which may swap the arrays.
+    @property
+    def _free(self) -> np.ndarray:
+        return self._cells._free
+
+    @property
+    def _busy(self) -> np.ndarray:
+        return self._cells._busy
+
+    @property
+    def _nres(self) -> np.ndarray:
+        return self._cells._nres
 
     def _alloc(self) -> int:
         """Claim one zeroed column slot; returns its id."""
         i = self._n
-        if i == len(self._free):
-            self._grow()
+        if i == len(self._cells._free):
+            self._cells._grow()
         self._n = i + 1
         return i
-
-    def _grow(self) -> None:
-        for attr in ("_free", "_busy", "_nres"):
-            old = getattr(self, attr)
-            new = np.zeros(2 * len(old), dtype=old.dtype)
-            new[: len(old)] = old
-            setattr(self, attr, new)
 
     def _channel_slot(self, u: int, v: int) -> int:
         """Column id of channel ``u -> v``, allocating the slot on first use."""
@@ -295,7 +319,8 @@ class ContentionTracker:
             ids = self._hop_ids[(u, v)]
         if duration < 0:
             raise SimulationError(f"negative hold duration on hop {u}->{v}")
-        free = self._free
+        cells = self._cells
+        free = cells._free
         start = ready
         for i in ids:
             f = free[i]
@@ -303,8 +328,8 @@ class ContentionTracker:
                 start = f
         start = float(start)
         end = start + duration
-        busy = self._busy
-        nres = self._nres
+        busy = cells._busy
+        nres = cells._nres
         for i in ids:
             free[i] = end
             busy[i] += duration

@@ -1,5 +1,8 @@
 """Tests for port/link contention under both port models."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,26 @@ class TestAggregationEdgeCases:
         assert tracker._channel_resource(0, 1) is res  # cached view
         res.hold(3.0, 1.0)
         assert tracker.total_channel_busy() == 4.0
+
+    def test_tracker_is_freed_without_the_cyclic_collector(self):
+        """Views point at the shared column store, not at the tracker, so
+        dropping a used tracker frees it by reference counting alone."""
+        tracker = ContentionTracker(cfg(PortModel.ONE_PORT))
+        tracker.reserve_hop(0, 1, 0.0, 2.0)
+        view = tracker._channel[(0, 1)]
+        cap = len(tracker._free)
+        while tracker._n < cap + 2:  # force a _grow()
+            tracker._alloc()
+        ref = weakref.ref(tracker)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del tracker
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert view.busy_time == 2.0  # the view keeps the store alive
 
     def test_one_port_send_port_aggregation_excluded_from_channels(self):
         """Send-port slots share the columns but never leak into channel
