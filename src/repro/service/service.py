@@ -26,6 +26,9 @@ The contract, end to end:
   restarts, replays the journal, and resumes **exactly** the unfinished
   chunks — completed chunk payloads come back from the cache, so the
   final report digest is bit-identical to an undisturbed run.
+* every state change is a journaled fact folded by
+  :meth:`SweepService.apply`; replay on open is the same fold, so live
+  and resumed state cannot drift apart.
 
 Everything the robustness machinery counts (retries, expiries, sheds,
 coalesces) is surfaced by :meth:`jobs` and deliberately excluded from
@@ -186,10 +189,7 @@ class SweepService:
         # in decision order — a resumed daemon replays this interleaving
         # before asking the scheduler for anything new.
         self._sched_decided: list[str] = []
-        self._sched_snapshot: dict | None = None
         self._replay()
-        if self._sched_snapshot is not None:
-            self.scheduler.restore(self._sched_snapshot)
         if not read_only:
             # Crash debris audit: a predecessor killed between tmp-write
             # and rename must not leak files forever.  Partial streaming
@@ -256,83 +256,98 @@ class SweepService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- journal replay -----------------------------------------------------
+    # -- the state machine -------------------------------------------------
 
     def _replay(self) -> None:
+        """Rebuild state as the fold of :meth:`apply` over the journal."""
         records, warnings = self.journal.replay()
         self.warnings.extend(warnings)
         for rec in records:
-            t = rec.get("t")
-            if t == "submit":
-                state = JobState(
-                    id=rec["job"], key=rec["key"], kind=rec["kind"],
-                    params=rec["params"], tenant=rec.get("tenant", "default"),
-                    submitted_ts=rec.get("ts", 0.0),
-                )
-                self.jobs_by_id[state.id] = state
-                self.counters["submitted"] += 1
-                # Rebuild the tenant's token-bucket history so a service
-                # restart does not refill everyone's burst for free.
-                self.admission.bucket(state.tenant).try_take(
+            self.apply(rec)
+            if rec.get("t") == "submit":
+                # The one replay-only step: rebuild the tenant's token
+                # bucket so a restart does not refill everyone's burst
+                # for free.  Live, ``admit()`` already spent this token.
+                self.admission.bucket(rec.get("tenant", "default")).try_take(
                     rec.get("ts", 0.0)
                 )
-                continue
-            if t == "shed":
-                self.counters["sheds"] += 1
-                self.admission.sheds += 1
-                self.last_shed = {
-                    "tenant": rec.get("tenant"),
-                    "reason": rec.get("reason"),
-                    "retry_after": rec.get("retry_after"),
-                    "ts": rec.get("ts"),
-                }
-                continue
-            if t == "sched":
-                # Replay the fair scheduler's journaled interleaving: the
-                # decision order is authoritative, and the last snapshot
-                # restores the deficit counters for *new* decisions.
-                self._sched_snapshot = rec.get("state")
-                self._sched_decided.append(rec.get("job", ""))
-                continue
-            job = self.jobs_by_id.get(rec.get("job", ""))
-            if job is None:
-                continue
-            if t == "coalesce":
-                job.coalesced += 1
-                self.counters["coalesced"] += 1
-            elif t == "plan":
-                job.plan = [list(c) for c in rec["chunks"]]
-                job.planned_workers = rec.get("workers")
-                job.cells = rec.get("cells")
-                job.status = "running"
-            elif t == "lease":
-                job.leases += 1
-                self.counters["leases"] += 1
-            elif t == "hlease":
-                self.counters["host_leases"] += 1
-            elif t == "hrevoke":
-                self.counters["host_revocations"] += 1
-            elif t == "retry":
-                job.retries += 1
-                self.counters["retries"] += 1
-                job.attempts[int(rec["chunk"])] = int(rec["attempt"])
-                if rec.get("reason") == "worker-died":
-                    self.counters["worker_deaths"] += 1
-                elif rec.get("reason") == "lease-expired":
-                    self.counters["lease_expiries"] += 1
-            elif t == "done":
-                job.done_chunks.add(int(rec["chunk"]))
-                job.attempts.pop(int(rec["chunk"]), None)
-            elif t == "quarantine":
-                job.quarantined.add(int(rec["chunk"]))
-                job.attempts.pop(int(rec["chunk"]), None)
-                self.counters["quarantined"] += 1
-            elif t == "job_done":
-                job.digest = rec.get("digest")
-                job.status = "degraded" if rec.get("quarantined") else "done"
-            elif t == "job_failed":
-                job.status = "failed"
-                job.error = rec.get("error")
+
+    def _record(self, rec: dict) -> None:
+        """Journal one fact, then apply it: every live state change."""
+        self.journal.append(rec)
+        self.apply(rec)
+
+    def apply(self, rec: dict) -> None:
+        """Fold one journal record into the service state.
+
+        The only writer of :class:`JobState` fields and ``counters``:
+        the live path reaches it through :meth:`_record`, replay through
+        :meth:`_replay`, so a resumed service holds exactly the state
+        the dead one had.
+        """
+        t = rec.get("t")
+        if t == "submit":
+            self.jobs_by_id[rec["job"]] = JobState(
+                id=rec["job"], key=rec["key"], kind=rec["kind"],
+                params=rec["params"], tenant=rec.get("tenant", "default"),
+                submitted_ts=rec.get("ts", 0.0),
+            )
+            self.counters["submitted"] += 1
+            return
+        if t == "shed":
+            self.counters["sheds"] += 1
+            self.last_shed = {
+                "tenant": rec.get("tenant"),
+                "reason": rec.get("reason"),
+                "retry_after": rec.get("retry_after"),
+                "ts": rec.get("ts"),
+            }
+            return
+        if t == "sched":
+            # The decision order is authoritative; the snapshot carries
+            # the deficit counters right after the decision.
+            self._sched_decided.append(rec.get("job", ""))
+            self.scheduler.restore(rec.get("state") or {})
+            return
+        job = self.jobs_by_id.get(rec.get("job", ""))
+        if job is None:
+            return
+        if t == "coalesce":
+            job.coalesced += 1
+            self.counters["coalesced"] += 1
+        elif t == "plan":
+            job.plan = [list(c) for c in rec["chunks"]]
+            job.planned_workers = rec.get("workers")
+            job.cells = rec.get("cells")
+            job.status = "running"
+        elif t == "lease":
+            job.leases += 1
+            self.counters["leases"] += 1
+        elif t == "hlease":
+            self.counters["host_leases"] += 1
+        elif t == "hrevoke":
+            self.counters["host_revocations"] += 1
+        elif t == "retry":
+            job.retries += 1
+            self.counters["retries"] += 1
+            job.attempts[int(rec["chunk"])] = int(rec["attempt"])
+            if rec.get("reason") == "worker-died":
+                self.counters["worker_deaths"] += 1
+            elif rec.get("reason") == "lease-expired":
+                self.counters["lease_expiries"] += 1
+        elif t == "done":
+            job.done_chunks.add(int(rec["chunk"]))
+            job.attempts.pop(int(rec["chunk"]), None)
+        elif t == "quarantine":
+            job.quarantined.add(int(rec["chunk"]))
+            job.attempts.pop(int(rec["chunk"]), None)
+            self.counters["quarantined"] += 1
+        elif t == "job_done":
+            job.digest = rec.get("digest")
+            job.status = "degraded" if rec.get("quarantined") else "done"
+        elif t == "job_failed":
+            job.status = "failed"
+            job.error = rec.get("error")
 
     # -- submission ---------------------------------------------------------
 
@@ -360,9 +375,7 @@ class SweepService:
         now = float(self.clock())
         for job in self.pending_jobs():
             if job.key == key:
-                job.coalesced += 1
-                self.counters["coalesced"] += 1
-                self.journal.append({
+                self._record({
                     "t": "coalesce", "job": job.id, "tenant": tenant,
                     "ts": now,
                 })
@@ -370,27 +383,16 @@ class SweepService:
         try:
             self.admission.admit(tenant, len(self.pending_jobs()), now)
         except ServiceOverloadError as exc:
-            self.counters["sheds"] += 1
-            self.last_shed = {
-                "tenant": tenant, "reason": exc.reason,
-                "retry_after": exc.retry_after, "ts": now,
-            }
-            self.journal.append({
+            self._record({
                 "t": "shed", "tenant": tenant, "reason": exc.reason,
                 "retry_after": exc.retry_after, "ts": now,
             })
             raise
         job_id = self._next_job_id()
-        self.journal.append({
+        self._record({
             "t": "submit", "job": job_id, "key": key, "kind": spec.kind,
             "params": spec.params, "tenant": tenant, "ts": now,
         })
-        state = JobState(
-            id=job_id, key=key, kind=spec.kind, params=spec.params,
-            tenant=tenant, submitted_ts=now,
-        )
-        self.jobs_by_id[job_id] = state
-        self.counters["submitted"] += 1
         return job_id, False
 
     def _next_job_id(self) -> str:
@@ -430,8 +432,7 @@ class SweepService:
         picked = self.scheduler.select(backlog)
         if picked is None:
             return None
-        self._sched_decided.append(picked.id)
-        self.journal.append({
+        self._record({
             "t": "sched", "job": picked.id, "tenant": picked.tenant,
             "state": self.scheduler.snapshot(),
         })
@@ -468,9 +469,7 @@ class SweepService:
         except InjectedServiceCrash:
             raise
         except ServiceError as exc:
-            job.status = "failed"
-            job.error = str(exc)
-            self.journal.append({
+            self._record({
                 "t": "job_failed", "job": job.id, "error": str(exc),
             })
             return None
@@ -615,13 +614,9 @@ class SweepService:
             # changes (REPRO_JOBS) can never re-shard recorded work.
             workers = resolve_jobs(self.workers)
             plan = plan_chunks(len(cells), workers, self.chunk_size)
-            job.plan = [list(c) for c in plan]
-            job.planned_workers = workers
-            job.cells = len(cells)
-            job.status = "running"
-            self.journal.append({
+            self._record({
                 "t": "plan", "job": job.id, "cells": len(cells),
-                "chunks": job.plan, "workers": workers,
+                "chunks": [list(c) for c in plan], "workers": workers,
                 "chunk_deadline_s": self.chunk_deadline_s,
                 "max_attempts": self.max_attempts,
             })
@@ -680,12 +675,10 @@ class SweepService:
             self.cache.put(
                 self.CHUNK_KIND, self._chunk_descriptor(job, chunk), records
             )
-            self.journal.append({
+            self._record({
                 "t": "done", "job": job.id, "chunk": chunk,
                 "cache": self._chunk_cache_key(job, chunk),
             })
-            job.done_chunks.add(chunk)
-            job.attempts.pop(chunk, None)
             records_by_chunk[chunk] = records
             completed_this_run += 1
             if writer is not None and writer.offer(chunk, records):
@@ -694,24 +687,7 @@ class SweepService:
                 raise InjectedServiceCrash(completed_this_run)
 
         def on_event(event: dict) -> None:
-            body = dict(event)
-            body["job"] = job.id
-            self.journal.append(body)
-            if event["t"] == "lease":
-                job.leases += 1
-                self.counters["leases"] += 1
-            elif event["t"] == "hlease":
-                self.counters["host_leases"] += 1
-            elif event["t"] == "hrevoke":
-                self.counters["host_revocations"] += 1
-            elif event["t"] == "retry":
-                job.retries += 1
-                self.counters["retries"] += 1
-                job.attempts[int(event["chunk"])] = int(event["attempt"])
-                if event.get("reason") == "worker-died":
-                    self.counters["worker_deaths"] += 1
-                elif event.get("reason") == "lease-expired":
-                    self.counters["lease_expiries"] += 1
+            self._record({**event, "job": job.id})
 
         todo = set(range(len(plan))) - set(records_by_chunk)
         if todo:
@@ -720,17 +696,13 @@ class SweepService:
                 if c not in records_by_chunk
             }
             executor = self._executor(on_event, on_chunk_done)
-            outcomes = executor.run(
+            executor.run(
                 spec.kind, spec.params, cells, list(plan),
                 skip_chunks=set(records_by_chunk),
                 initial_attempts=initial_attempts,
             )
-            for chunk, outcome in outcomes.items():
-                if outcome.quarantined:
-                    job.quarantined.add(chunk)
-                    job.attempts.pop(chunk, None)
-                    self.counters["quarantined"] += 1
-                    records_by_chunk[chunk] = None
+            for chunk in job.quarantined:
+                records_by_chunk.setdefault(chunk, None)
             if executor.drained:
                 # Drain hand-back: no job_done record, no report — the
                 # journal holds every completed chunk, so the next run
@@ -750,10 +722,8 @@ class SweepService:
         report = finalize(spec, full_records)
         report["job"] = job.id
         report["quarantined_chunks"] = sorted(job.quarantined)
-        job.digest = report.get("digest")
-        job.status = "degraded" if job.quarantined else "done"
-        self.journal.append({
-            "t": "job_done", "job": job.id, "digest": job.digest,
+        self._record({
+            "t": "job_done", "job": job.id, "digest": report.get("digest"),
             "quarantined": sorted(job.quarantined),
             "counters": {
                 "retries": job.retries, "leases": job.leases,

@@ -11,19 +11,17 @@ worker processes and leases grid chunks to them one at a time:
 * a worker that **dies** mid-lease (crash, OOM kill, injected
   ``kill-worker``) is detected by process liveness, its chunk is
   re-leased, and a fresh worker replaces it;
-* re-leases happen after a **seeded exponential backoff** (deterministic
-  per ``(backoff_seed, chunk, attempt)`` — replayable, like every other
-  randomized policy in this repo);
-* a chunk that keeps failing is **quarantined** after ``max_attempts``
-  and surfaces as a ``None`` record — a poisoned cell degrades the
-  report, it never hangs the sweep.
+* re-leases, backoff and quarantine follow the shared
+  :class:`~repro.service.ladder.LeaseLadder` — the same ladder the
+  multi-host pool climbs — so a poisoned cell degrades the report, it
+  never hangs the sweep.
 
 Determinism: chunk payloads are pure functions of ``(kind, params,
 cells)``, and the supervisor merges them by chunk index, so the result
 list — and any digest over it — is bit-identical whether a run was
 undisturbed or survived any number of kills and stalls.  Only the
-*counters* (retries, expiries) differ, and they are deliberately kept
-out of every digest.
+robustness events (retries, expiries) differ, and the counters built
+from them are deliberately kept out of every digest.
 
 The supervisor is deliberately journal-agnostic: it reports lease /
 retry / quarantine events and chunk completions through callbacks, and
@@ -37,7 +35,6 @@ import multiprocessing as mp
 import os
 import pickle
 import queue as queue_mod
-import random
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -45,27 +42,12 @@ from typing import Any, Callable
 from repro.errors import ServiceError
 from repro.service.chaos import ChaosPolicy, worker_chaos_hook
 from repro.service.jobs import evaluate_chunk
+from repro.service.ladder import ChunkOutcome, LeaseLadder, seeded_backoff
 
-__all__ = [
-    "Supervisor", "ChunkOutcome", "SupervisorCounters", "seeded_backoff",
-]
+__all__ = ["Supervisor", "ChunkOutcome", "seeded_backoff"]
 
 #: how often the supervisor polls results / liveness / deadlines
 _POLL_S = 0.02
-
-
-def seeded_backoff(seed: int, chunk: int, attempt: int, base_s: float) -> float:
-    """Re-lease delay: ``base * 2**(attempt-1) * u``, ``u`` uniform in
-    [0.5, 1.5) from a generator seeded by ``(seed, chunk, attempt)``.
-
-    A pure function of its arguments — the whole retry schedule is
-    replayable from the journal, so a daemon that crashes mid-backoff
-    resumes the *same* schedule (pinned by
-    ``tests/service/test_supervisor.py``).  Shared by the in-process
-    supervisor and the multi-host pool so both tiers retry identically.
-    """
-    rng = random.Random(seed * 1_000_003 + chunk * 8191 + attempt)
-    return base_s * (2 ** (attempt - 1)) * (0.5 + rng.random())
 
 
 def _worker_main(worker_id, task_q, result_q, chaos):
@@ -91,52 +73,11 @@ def _worker_main(worker_id, task_q, result_q, chaos):
 
 
 @dataclass
-class ChunkOutcome:
-    """Terminal state of one chunk: its records, or quarantine."""
-
-    chunk: int
-    records: list | None
-    attempts: int
-    quarantined: bool = False
-    last_error: str | None = None
-
-
-@dataclass
-class SupervisorCounters:
-    """Robustness bookkeeping for one run (never part of any digest)."""
-
-    leases: int = 0
-    retries: int = 0
-    worker_deaths: int = 0
-    lease_expiries: int = 0
-    quarantined: int = 0
-    backoff_s: float = 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "leases": self.leases,
-            "retries": self.retries,
-            "worker_deaths": self.worker_deaths,
-            "lease_expiries": self.lease_expiries,
-            "quarantined": self.quarantined,
-            "backoff_s": round(self.backoff_s, 4),
-        }
-
-
-@dataclass
 class _Worker:
     proc: Any
     task_q: Any
     busy: tuple[int, int] | None = None  # (chunk_id, attempt)
     lease_deadline: float = 0.0
-
-
-@dataclass
-class _PendingChunk:
-    chunk: int
-    attempt: int
-    not_before: float = 0.0
-    last_error: str | None = None
 
 
 def _mp_context():
@@ -158,13 +99,10 @@ class Supervisor:
     chunk_deadline_s:
         Lease duration: a chunk not completed this many (wall-clock)
         seconds after assignment is considered hung.
-    max_attempts:
-        Per-chunk attempt budget before quarantine.
-    backoff_base_s / backoff_seed:
-        Re-lease delay: ``base * 2**(attempt-1) * u`` with ``u`` drawn
-        uniformly from [0.5, 1.5) by a generator seeded from
-        ``(backoff_seed, chunk, attempt)`` — jittered so retry storms
-        decorrelate, seeded so runs replay.
+    max_attempts / backoff_base_s:
+        The shared :class:`~repro.service.ladder.LeaseLadder` policy:
+        per-chunk attempt budget before quarantine, and the base of the
+        seeded exponential re-lease delay.
     chaos:
         Optional :class:`~repro.service.chaos.ChaosPolicy` handed to
         every worker (and consulted nowhere else — the supervisor must
@@ -184,7 +122,6 @@ class Supervisor:
         chunk_deadline_s: float = 30.0,
         max_attempts: int = 3,
         backoff_base_s: float = 0.05,
-        backoff_seed: int = 0,
         chaos: ChaosPolicy | None = None,
         on_event: Callable[[dict], None] | None = None,
         on_chunk_done: Callable[[int, list], None] | None = None,
@@ -194,34 +131,30 @@ class Supervisor:
     ):
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
-        if max_attempts < 1:
-            raise ServiceError(f"max_attempts must be >= 1, got {max_attempts}")
         if chunk_deadline_s <= 0:
             raise ServiceError(
                 f"chunk_deadline_s must be > 0, got {chunk_deadline_s}"
             )
+        self.ladder = LeaseLadder(
+            max_attempts=max_attempts, backoff_base_s=backoff_base_s,
+            on_event=on_event, on_chunk_done=on_chunk_done,
+            should_stop=should_stop,
+        )
         self.workers = int(workers)
         self.chunk_deadline_s = float(chunk_deadline_s)
-        self.max_attempts = int(max_attempts)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_seed = int(backoff_seed)
         self.chaos = chaos
-        self.on_event = on_event or (lambda record: None)
-        self.on_chunk_done = on_chunk_done or (lambda chunk, records: None)
         # Lease time is injected (same discipline as admission.py): tests
         # drive deadlines and backoffs from a virtual clock instead of
         # racing the wall clock.  Worker liveness and pool teardown stay
         # on real time — they guard host resources, not lease policy.
         self._clock = clock or time.monotonic
         self._sleep = sleep or time.sleep
-        # Drain hook: when it turns true the run loop stops leasing,
-        # abandons in-flight work (idempotent — it just re-runs later),
-        # and returns the outcomes gathered so far.
-        self._should_stop = should_stop or (lambda: False)
-        self.drained = False
-        self.counters = SupervisorCounters()
         self._ctx = _mp_context()
         self._next_worker_id = 0
+
+    @property
+    def drained(self) -> bool:
+        return self.ladder.drained
 
     # -- pool plumbing ------------------------------------------------------
 
@@ -247,11 +180,6 @@ class Supervisor:
         worker.task_q.cancel_join_thread()
         worker.task_q.close()
 
-    def _backoff(self, chunk: int, attempt: int) -> float:
-        return seeded_backoff(
-            self.backoff_seed, chunk, attempt, self.backoff_base_s
-        )
-
     # -- main loop ----------------------------------------------------------
 
     def run(
@@ -267,49 +195,29 @@ class Supervisor:
         """Execute every chunk of ``plan`` not in ``skip_chunks``.
 
         Returns ``{chunk_id: ChunkOutcome}`` for the chunks this run
-        executed.  ``skip_chunks`` is the resume path: chunks the
-        journal already records as complete are simply never leased.
-        ``initial_attempts`` maps chunks to the attempt number their
-        next lease should carry (journaled ``retry`` records replay
-        here), so the seeded backoff schedule continues across a daemon
-        restart instead of starting over at attempt 1.
+        executed; see :meth:`LeaseLadder.start
+        <repro.service.ladder.LeaseLadder.start>` for the resume
+        arguments.
         """
-        todo = [
-            i for i in range(len(plan))
-            if not skip_chunks or i not in skip_chunks
-        ]
-        outcomes: dict[int, ChunkOutcome] = {}
-        self.drained = False
+        ladder = self.ladder
+        todo = ladder.start(len(plan), skip_chunks, initial_attempts)
         if not todo:
-            return outcomes
+            return ladder.outcomes
 
-        initial_attempts = initial_attempts or {}
         result_q = self._ctx.Queue()
         pool: list[_Worker] = [
             self._spawn_worker(result_q)
-            for _ in range(min(self.workers, len(todo)))
-        ]
-        pending: list[_PendingChunk] = [
-            _PendingChunk(chunk=i, attempt=initial_attempts.get(i, 1))
-            for i in todo
+            for _ in range(min(self.workers, todo))
         ]
         inflight: dict[int, _Worker] = {}  # chunk -> worker holding lease
 
         try:
-            while len(outcomes) < len(todo):
-                if self._should_stop():
-                    # Graceful drain: abandoned leases are handed back by
-                    # construction — the journal has no 'done' for them,
-                    # so the next run re-leases exactly these chunks.
-                    self.drained = True
-                    break
+            while ladder.running():
                 now = self._clock()
-                self._assign(pool, pending, inflight, cells, plan,
-                             kind, params, now)
-                self._drain_results(result_q, outcomes, inflight, pending, now)
-                self._police_leases(pool, pending, inflight, outcomes,
-                                    result_q, now)
-                if len(outcomes) < len(todo):
+                self._assign(pool, inflight, cells, plan, kind, params, now)
+                self._drain_results(result_q, inflight, now)
+                self._police_leases(pool, inflight, result_q, now)
+                if ladder.unfinished():
                     self._sleep(_POLL_S)
         finally:
             for worker in pool:
@@ -322,36 +230,33 @@ class Supervisor:
                 self._reap(worker)
             result_q.cancel_join_thread()
             result_q.close()
-        return outcomes
+        return ladder.outcomes
 
     # -- loop phases --------------------------------------------------------
 
-    def _assign(self, pool, pending, inflight, cells, plan, kind, params, now):
+    def _assign(self, pool, inflight, cells, plan, kind, params, now):
         """Lease ready pending chunks to idle workers (deterministic order)."""
-        if not pending:
-            return
-        pending.sort(key=lambda c: (c.not_before, c.chunk))
+        ready = iter(self.ladder.ready(now))
         for worker in pool:
             if worker.busy is not None or not worker.proc.is_alive():
                 continue
-            ready = next((c for c in pending if c.not_before <= now), None)
-            if ready is None:
+            item = next(ready, None)
+            if item is None:
                 return
-            pending.remove(ready)
-            start, stop = plan[ready.chunk]
-            worker.busy = (ready.chunk, ready.attempt)
+            self.ladder.take(item)
+            start, stop = plan[item.chunk]
+            worker.busy = (item.chunk, item.attempt)
             worker.lease_deadline = now + self.chunk_deadline_s
-            inflight[ready.chunk] = worker
-            self.counters.leases += 1
-            self.on_event({
-                "t": "lease", "chunk": ready.chunk,
-                "attempt": ready.attempt, "cells": [start, stop],
+            inflight[item.chunk] = worker
+            self.ladder.on_event({
+                "t": "lease", "chunk": item.chunk,
+                "attempt": item.attempt, "cells": [start, stop],
             })
             worker.task_q.put(
-                (ready.chunk, ready.attempt, kind, params, cells[start:stop])
+                (item.chunk, item.attempt, kind, params, cells[start:stop])
             )
 
-    def _drain_results(self, result_q, outcomes, inflight, pending, now):
+    def _drain_results(self, result_q, inflight, now):
         """Absorb every queued worker report."""
         while True:
             try:
@@ -368,23 +273,19 @@ class Supervisor:
             worker.busy = None
             del inflight[chunk_id]
             if status == "done":
-                outcomes[chunk_id] = ChunkOutcome(
-                    chunk=chunk_id,
-                    records=pickle.loads(payload),
-                    attempts=attempt,
-                )
-                self.on_chunk_done(chunk_id, outcomes[chunk_id].records)
+                self.ladder.complete(chunk_id, attempt, pickle.loads(payload))
             else:  # evaluation raised inside the worker
-                self._retry_or_quarantine(
-                    pending, outcomes, chunk_id, attempt,
-                    reason="error", detail=payload, now=now,
+                self.ladder.fail(
+                    chunk_id, attempt, reason="error", detail=payload,
+                    now=now,
                 )
 
-    def _police_leases(self, pool, pending, inflight, outcomes, result_q, now):
+    def _police_leases(self, pool, inflight, result_q, now):
         """Detect dead and hung workers; re-lease or quarantine their chunks."""
         for idx, worker in enumerate(pool):
             if worker.busy is None:
-                if not worker.proc.is_alive() and (pending or inflight):
+                if not worker.proc.is_alive() and (
+                        self.ladder.pending or inflight):
                     # An idle worker died (shouldn't happen, but a pool
                     # that shrinks silently is a pool that deadlocks).
                     self._reap(worker)
@@ -392,15 +293,12 @@ class Supervisor:
                 continue
             chunk_id, attempt = worker.busy
             died = not worker.proc.is_alive()
-            expired = now >= worker.lease_deadline
-            if not died and not expired:
+            if not died and now < worker.lease_deadline:
                 continue
             if died:
-                self.counters.worker_deaths += 1
                 reason = "worker-died"
                 detail = f"exit code {worker.proc.exitcode}"
             else:
-                self.counters.lease_expiries += 1
                 reason = "lease-expired"
                 detail = (
                     f"no result within {self.chunk_deadline_s:g}s "
@@ -409,34 +307,6 @@ class Supervisor:
             self._reap(worker)
             del inflight[chunk_id]
             pool[idx] = self._spawn_worker(result_q)
-            self._retry_or_quarantine(
-                pending, outcomes, chunk_id, attempt,
-                reason=reason, detail=detail, now=now,
+            self.ladder.fail(
+                chunk_id, attempt, reason=reason, detail=detail, now=now,
             )
-
-    def _retry_or_quarantine(
-        self, pending, outcomes, chunk_id, attempt, *, reason, detail, now
-    ):
-        if attempt >= self.max_attempts:
-            self.counters.quarantined += 1
-            outcomes[chunk_id] = ChunkOutcome(
-                chunk=chunk_id, records=None, attempts=attempt,
-                quarantined=True, last_error=f"{reason}: {detail}",
-            )
-            self.on_event({
-                "t": "quarantine", "chunk": chunk_id,
-                "attempts": attempt, "reason": reason, "detail": detail,
-            })
-            return
-        delay = self._backoff(chunk_id, attempt)
-        self.counters.retries += 1
-        self.counters.backoff_s += delay
-        self.on_event({
-            "t": "retry", "chunk": chunk_id, "attempt": attempt + 1,
-            "reason": reason, "detail": detail,
-            "backoff_s": round(delay, 4),
-        })
-        pending.append(_PendingChunk(
-            chunk=chunk_id, attempt=attempt + 1,
-            not_before=now + delay, last_error=detail,
-        ))

@@ -49,7 +49,6 @@ from repro.sim.message import (
     MessageTable,
     message_crc,
 )
-from repro.sim.calendar import CalendarQueue
 from repro.sim.ops import (
     COLLECTIVE_FALLBACK,
     SHIFT_FALLBACK,
@@ -192,10 +191,6 @@ class Engine:
         (they depend only on shapes and sizes); per-rank results are
         meaningless.  This is what lets simulation-backed region maps
         reach p = 2^15 and beyond.
-    event_queue:
-        ``"heap"`` (default) or ``"calendar"`` — the
-        :class:`~repro.sim.calendar.CalendarQueue` bucketed backend for
-        the residual event regions.  Both produce identical event order.
     """
 
     def __init__(
@@ -207,7 +202,6 @@ class Engine:
         max_virtual_time: float | None = None,
         superstep: bool = True,
         timing_only: bool = False,
-        event_queue: str = "heap",
     ):
         self.config = config
         self.tracker = ContentionTracker(config)
@@ -241,13 +235,6 @@ class Engine:
             )
         self.max_events = max_events
         self.max_virtual_time = max_virtual_time
-        if event_queue not in ("heap", "calendar"):
-            raise SimulationError(
-                f"unknown event_queue backend {event_queue!r}"
-            )
-        self._calendar: CalendarQueue | None = (
-            CalendarQueue() if event_queue == "calendar" else None
-        )
         self.superstep_enabled = superstep
         self.timing_only = timing_only
         # Parked shift-phase tasks: task -> (ShiftPhaseOp, park time).
@@ -421,27 +408,18 @@ class Engine:
         ready = self._ready
         max_events = self.max_events
         max_virtual_time = self.max_virtual_time
-        cal = self._calendar
         events = self._events
         heappop = heapq.heappop
         while True:
             # The fast lane holds same-time events in FIFO (= sequence)
             # order; the full (time, seq) comparison picks exactly the
-            # event heappop (or calendar pop) would have.
-            if cal is None:
-                if not (events or ready):
-                    return
-                if ready and (not events or ready[0] < events[0]):
-                    time, _, kind, payload = ready.popleft()
-                else:
-                    time, _, kind, payload = heappop(events)
+            # event heappop would have.
+            if not (events or ready):
+                return
+            if ready and (not events or ready[0] < events[0]):
+                time, _, kind, payload = ready.popleft()
             else:
-                if not (cal or ready):
-                    return
-                if ready and (not cal or ready[0] < cal.min_item()):
-                    time, _, kind, payload = ready.popleft()
-                else:
-                    time, _, kind, payload = cal.pop()
+                time, _, kind, payload = heappop(events)
             self._now = time
             self._events_processed += 1
             if max_events is not None and self._events_processed > max_events:
@@ -594,10 +572,8 @@ class Engine:
         ready = self._ready
         if time == self._now and (not ready or ready[0][0] == time):
             ready.append((time, next(self._seq), kind, payload))
-        elif self._calendar is None:
-            heapq.heappush(self._events, (time, next(self._seq), kind, payload))
         else:
-            self._calendar.push((time, next(self._seq), kind, payload))
+            heapq.heappush(self._events, (time, next(self._seq), kind, payload))
 
     def _step(
         self, task: Task, time: float, value: Any, throw: BaseException | None = None
@@ -1390,18 +1366,17 @@ def run_spmd(
     max_virtual_time: float | None = None,
     superstep: bool = True,
     timing_only: bool = False,
-    event_queue: str = "heap",
 ) -> RunResult:
     """Run the SPMD ``program`` (one generator per rank) on ``config``.
 
     ``max_events`` / ``max_virtual_time`` are watchdog caps: exceeding
     either raises :class:`~repro.errors.LivelockError` with a per-rank
-    progress snapshot instead of spinning forever.  ``superstep``,
-    ``timing_only`` and ``event_queue`` select the engine's fast paths —
-    see :class:`Engine` for their (bit-identical) semantics.
+    progress snapshot instead of spinning forever.  ``superstep`` and
+    ``timing_only`` select the engine's fast paths — see :class:`Engine`
+    for their (bit-identical) semantics.
     """
     return Engine(
         config, trace=trace, max_events=max_events,
         max_virtual_time=max_virtual_time, superstep=superstep,
-        timing_only=timing_only, event_queue=event_queue,
+        timing_only=timing_only,
     ).run(program)

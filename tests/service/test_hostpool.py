@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.errors import ServiceError
+from repro.service import hostpool
 from repro.service.hostpool import (
     HostAgent,
     HostPool,
@@ -20,6 +21,7 @@ from repro.service.hostpool import (
     host_status,
 )
 from repro.service.jobs import build_cells, evaluate_chunk, make_spec
+from repro.service.supervisor import seeded_backoff
 from repro.analysis.parallel import plan_chunks
 
 SWEEP = {
@@ -82,7 +84,6 @@ def test_agent_executes_granted_chunks_end_to_end(tmp_path):
         tmp_path, clock, sleeper,
         on_event=events.append,
         on_chunk_done=lambda c, r: done.append(c),
-        local_fallback=False,
     )
     spec, cells, plan = _job()
     outcomes = pool.run(spec.kind, spec.params, cells, plan)
@@ -99,6 +100,9 @@ def test_agent_executes_granted_chunks_end_to_end(tmp_path):
     for e in leases:
         chunks = e["chunks"]
         assert chunks == list(range(chunks[0], chunks[-1] + 1))
+    # The live agent took every chunk: the local fallback never ran.
+    assert pool.counters.local_fallback == 0
+    assert not [e for e in events if e["t"] == "hlocal"]
 
 
 def test_local_fallback_when_no_hosts(tmp_path):
@@ -160,9 +164,8 @@ def test_stale_epoch_result_rejected(tmp_path):
         "chunk": 0, "attempt": 1, "epoch": 2,  # stale epoch
         "status": "done", "records": "",
     }))
-    outcomes, pending = {}, []
-    pool._collect(outcomes, inflight, pending, clock())
-    assert outcomes == {} and pending == []
+    pool._collect(inflight, clock())
+    assert pool.ladder.outcomes == {} and pool.ladder.pending == []
     assert 0 in inflight  # the real lease is still awaited
     assert pool.counters.stale_results == 1
 
@@ -216,10 +219,59 @@ def test_agent_reports_errors_and_pool_quarantines(tmp_path):
         on_event=events.append,
     )
     inflight = {0: _Lease(host="h1", attempt=1, epoch=0)}
-    outcomes, pending = {}, []
-    pool._collect(outcomes, inflight, pending, clock())
-    assert outcomes[0].quarantined
+    pool._collect(inflight, clock())
+    assert pool.ladder.outcomes[0].quarantined
     assert [e["t"] for e in events] == ["quarantine"]
+
+
+@pytest.mark.parametrize("via", ["agent", "local"])
+def test_host_tier_backoff_keyed_on_failed_attempt(tmp_path, monkeypatch,
+                                                   via):
+    """Both tiers share one backoff formula: a poisoned chunk's retry
+    after attempt ``a`` waits ``seeded_backoff(0, chunk, a, base)`` —
+    the schedule the supervisor and the daemon-restart test pin."""
+    base = 0.01
+    clock = WallClock()
+    spec, cells, plan = _job()
+    start, stop = plan[0]
+
+    def evaluate(kind, params, chunk_cells):
+        if chunk_cells == cells[start:stop]:
+            raise RuntimeError("poisoned chunk")
+        return evaluate_chunk(kind, params, chunk_cells)
+
+    # Agent and local fallback both evaluate through this module global.
+    monkeypatch.setattr(hostpool, "evaluate_chunk", evaluate)
+
+    agent = None
+    if via == "agent":
+        agent = HostAgent(
+            tmp_path / "hosts", "h1", clock=clock, sleep=lambda s: None,
+            heartbeat_s=0.01,
+        )
+        agent.heartbeat()
+
+    def sleeper(_):
+        if agent is not None:
+            agent.step()
+        clock.advance(0.05)
+
+    events = []
+    pool = _pool(
+        tmp_path, clock, sleeper, max_attempts=3, backoff_base_s=base,
+        on_event=events.append,
+    )
+    outcomes = pool.run(spec.kind, spec.params, cells, plan)
+
+    assert outcomes[0].quarantined and outcomes[0].attempts == 3
+    retries = [e for e in events if e["t"] == "retry"]
+    assert [e["attempt"] for e in retries] == [2, 3]
+    assert {e["reason"] for e in retries} == (
+        {"host-error"} if via == "agent" else {"error"}
+    )
+    for rec in retries:
+        expected = seeded_backoff(0, rec["chunk"], rec["attempt"] - 1, base)
+        assert rec["backoff_s"] == round(expected, 4)
 
 
 def test_agent_stop_file_drains(tmp_path):
